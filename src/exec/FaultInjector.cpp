@@ -29,10 +29,6 @@ std::string_view exec::faultSiteName(FaultSite Site) {
     return "input";
   case FaultSite::JitValidate:
     return "jitval";
-  case FaultSite::Peer:
-    return "peer";
-  case FaultSite::Msg:
-    return "msg";
   case FaultSite::Serve:
     return "serve";
   }
@@ -53,8 +49,6 @@ std::string_view exec::faultKindName(FaultKind Kind) {
     return "truncate";
   case FaultKind::Reject:
     return "reject";
-  case FaultKind::Kill:
-    return "kill";
   case FaultKind::Drop:
     return "drop";
   case FaultKind::Delay:
@@ -86,15 +80,11 @@ support::Expected<FaultSpec> FaultInjector::parseSpec(std::string_view Spec) {
     S.Site = FaultSite::Input;
   else if (Site == "jitval")
     S.Site = FaultSite::JitValidate;
-  else if (Site == "peer")
-    S.Site = FaultSite::Peer;
-  else if (Site == "msg")
-    S.Site = FaultSite::Msg;
   else if (Site == "serve")
     S.Site = FaultSite::Serve;
   else
     return Bad("unknown site '" + std::string(Site) +
-               "' (kernel|task|modulo|input|jitval|peer|msg|serve)");
+               "' (kernel|task|modulo|input|jitval|serve)");
 
   std::string_view Kind = trim(Parts[1]);
   if (Kind == "throw")
@@ -107,25 +97,19 @@ support::Expected<FaultSpec> FaultInjector::parseSpec(std::string_view Spec) {
     S.Kind = FaultKind::Truncate;
   else if (Kind == "reject")
     S.Kind = FaultKind::Reject;
-  else if (Kind == "kill")
-    S.Kind = FaultKind::Kill;
   else if (Kind == "drop")
     S.Kind = FaultKind::Drop;
   else if (Kind == "delay")
     S.Kind = FaultKind::Delay;
   else
     return Bad("unknown kind '" + std::string(Kind) +
-               "' (throw|fail|corrupt|truncate|reject|kill|drop|delay)");
+               "' (throw|fail|corrupt|truncate|reject|drop|delay)");
 
   const bool Paired = (S.Site == FaultSite::Kernel && S.Kind == FaultKind::Throw) ||
                       (S.Site == FaultSite::Task && S.Kind == FaultKind::Fail) ||
                       (S.Site == FaultSite::Modulo && S.Kind == FaultKind::Corrupt) ||
                       (S.Site == FaultSite::Input && S.Kind == FaultKind::Truncate) ||
                       (S.Site == FaultSite::JitValidate && S.Kind == FaultKind::Reject) ||
-                      (S.Site == FaultSite::Peer && S.Kind == FaultKind::Kill) ||
-                      (S.Site == FaultSite::Msg && (S.Kind == FaultKind::Drop ||
-                                                    S.Kind == FaultKind::Truncate ||
-                                                    S.Kind == FaultKind::Delay)) ||
                       (S.Site == FaultSite::Serve &&
                        (S.Kind == FaultKind::Drop ||
                         S.Kind == FaultKind::Truncate ||
@@ -149,28 +133,14 @@ support::Expected<FaultSpec> FaultInjector::parseSpec(std::string_view Spec) {
   return S;
 }
 
-support::Expected<std::vector<FaultSpec>>
-FaultInjector::parseSpecs(std::string_view Specs) {
-  std::vector<FaultSpec> Parsed;
-  for (const std::string &Segment : split(Specs, ';')) {
-    if (trim(Segment).empty())
-      continue;
-    auto Spec = parseSpec(Segment);
-    if (!Spec)
-      return Spec.takeError();
-    Parsed.push_back(*Spec);
-  }
-  return Parsed;
-}
-
 FaultInjector &FaultInjector::global() {
   static FaultInjector *FI = [] {
     auto *Injector = new FaultInjector();
     if (const char *Env = std::getenv("LCDFG_FAULT"); Env && *Env) {
-      auto Specs = parseSpecs(Env);
-      if (!Specs)
-        reportFatalError(Specs.error().toString());
-      Injector->arm(std::move(*Specs));
+      auto Spec = parseSpec(Env);
+      if (!Spec)
+        reportFatalError(Spec.error().toString());
+      Injector->arm(*Spec);
     }
     return Injector;
   }();
@@ -178,22 +148,16 @@ FaultInjector &FaultInjector::global() {
 }
 
 void FaultInjector::arm(FaultSpec S) {
-  arm(std::vector<FaultSpec>{S});
-}
-
-void FaultInjector::arm(std::vector<FaultSpec> NewSpecs) {
   std::lock_guard<std::mutex> Lock(Mu);
-  Specs.clear();
-  for (FaultSpec &S : NewSpecs)
-    if (S.Site != FaultSite::None)
-      Specs.push_back(ArmedSpec{S, 0});
+  Spec = S;
+  Hits = 0;
   Fired = 0;
-  Armed.store(!Specs.empty(), std::memory_order_relaxed);
+  Armed.store(S.Site != FaultSite::None, std::memory_order_relaxed);
 }
 
 void FaultInjector::disarm() {
   std::lock_guard<std::mutex> Lock(Mu);
-  Specs.clear();
+  Spec = FaultSpec{};
   Armed.store(false, std::memory_order_relaxed);
 }
 
@@ -201,15 +165,7 @@ bool FaultInjector::armedFor(FaultSite Site) const {
   if (!Armed.load(std::memory_order_relaxed))
     return false;
   std::lock_guard<std::mutex> Lock(Mu);
-  for (const ArmedSpec &A : Specs)
-    if (A.Spec.Site == Site)
-      return true;
-  return false;
-}
-
-FaultSpec FaultInjector::spec() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Specs.empty() ? FaultSpec{} : Specs.front().Spec;
+  return Spec.Site == Site;
 }
 
 bool FaultInjector::shouldFire(FaultSite Site) {
@@ -220,24 +176,14 @@ FaultKind FaultInjector::fire(FaultSite Site) {
   if (!Armed.load(std::memory_order_relaxed))
     return FaultKind::None;
   std::lock_guard<std::mutex> Lock(Mu);
-  // Every matching spec counts this occurrence of the site; the first one
-  // reaching its Nth fires and disarms itself (one-shot — retries down the
-  // degradation ladder see a healthy system). Other specs stay armed.
-  FaultSpec FiredSpec;
-  for (std::size_t I = 0; I < Specs.size(); ++I) {
-    ArmedSpec &A = Specs[I];
-    if (A.Spec.Site != Site)
-      continue;
-    if (++A.Hits < A.Spec.Nth || FiredSpec.Site != FaultSite::None)
-      continue;
-    FiredSpec = A.Spec;
-    Specs.erase(Specs.begin() + static_cast<std::ptrdiff_t>(I));
-    --I;
-  }
-  if (FiredSpec.Site == FaultSite::None)
+  // The Nth occurrence fires and disarms the spec (one-shot — retries down
+  // the degradation ladder see a healthy system).
+  if (Spec.Site != Site || ++Hits < Spec.Nth)
     return FaultKind::None;
+  const FaultSpec FiredSpec = Spec;
+  Spec = FaultSpec{};
   ++Fired;
-  Armed.store(!Specs.empty(), std::memory_order_relaxed);
+  Armed.store(false, std::memory_order_relaxed);
   // Annotate the firing on the trace timeline (the tracer never calls back
   // into the injector, so taking its lock under Mu cannot invert).
   obs::Tracer &Tr = obs::Tracer::global();

@@ -8,10 +8,9 @@
 /// \file
 /// Deterministic fault injection for exercising the fail-operational
 /// execution layer. An armed FaultSpec names a site, a kind, and the
-/// 1-based occurrence at which it fires; LCDFG_FAULT accepts one spec or
-/// a `;`-separated list so paired drills run in one process:
+/// 1-based occurrence at which it fires:
 ///
-///   LCDFG_FAULT=<site>:<kind>[:<nth>][;<site>:<kind>[:<nth>]...]
+///   LCDFG_FAULT=<site>:<kind>[:<nth>]
 ///
 ///   site    kind       effect
 ///   ------  --------   ----------------------------------------------
@@ -24,16 +23,6 @@
 ///   jitval  reject     forces the JIT translation-validation gate to
 ///                      reject one kernel (surfaced as L008, the run
 ///                      keeps the interpreted bodies)
-///   peer    kill       the Nth shard worker rank _exit()s before its
-///                      first halo send (peers observe EOF -> E018)
-///   msg     drop       one halo frame is never sent and resend requests
-///                      for it are ignored (deadline -> E019)
-///   msg     truncate   one halo frame's payload is halved on every
-///                      (re)send (checksum rejects it each time -> E019)
-///   msg     delay      one halo frame is delayed LCDFG_SHARD_DELAY_MS
-///                      before sending (past the exchange deadline by
-///                      default -> E019; a short delay exercises the
-///                      recoverable resend path instead)
 ///   serve   drop       the daemon closes one client connection before
 ///                      writing any response byte (the client observes
 ///                      EOF -> E018); other connections are untouched
@@ -47,14 +36,9 @@
 ///
 /// Faults are one-shot: a spec disarms itself when it fires, so a
 /// degradation-ladder retry observes a healthy system — recovery from a
-/// transient fault is deterministic and testable. With several specs
-/// armed, each keeps its own occurrence counter for its site and fires
-/// independently. The process-wide injector arms itself from LCDFG_FAULT
-/// on first use; tests arm and disarm programmatically. Shard rank 0
-/// inherits the armed specs across fork() and every other rank disarms,
-/// so a msg fault deterministically strikes the Nth halo frame rank 0
-/// sends rather than firing symmetrically in every worker
-/// (docs/SHARDING.md).
+/// transient fault is deterministic and testable. The process-wide
+/// injector arms itself from LCDFG_FAULT on first use; tests arm and
+/// disarm programmatically.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,7 +51,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace lcdfg {
 
@@ -80,9 +63,9 @@ namespace exec {
 struct ExecutionPlan;
 
 /// Where a fault strikes.
-enum class FaultSite { None, Kernel, Task, Modulo, Input, JitValidate, Peer, Msg, Serve };
+enum class FaultSite { None, Kernel, Task, Modulo, Input, JitValidate, Serve };
 /// What the fault does at its site.
-enum class FaultKind { None, Throw, Fail, Corrupt, Truncate, Reject, Kill, Drop, Delay };
+enum class FaultKind { None, Throw, Fail, Corrupt, Truncate, Reject, Drop, Delay };
 
 /// One parsed fault specification.
 struct FaultSpec {
@@ -110,30 +93,19 @@ public:
   /// malformed specs.
   static support::Expected<FaultSpec> parseSpec(std::string_view Spec);
 
-  /// Parses a `;`-separated list of specs (empty segments are skipped, so
-  /// a trailing `;` is harmless). Any malformed segment fails the whole
-  /// parse with that segment's error.
-  static support::Expected<std::vector<FaultSpec>>
-  parseSpecs(std::string_view Specs);
-
   /// Arms exactly \p Spec, replacing anything previously armed.
   void arm(FaultSpec Spec);
-  /// Arms every spec in \p Specs, replacing anything previously armed.
-  /// Each spec keeps an independent occurrence counter for its site.
-  void arm(std::vector<FaultSpec> Specs);
   void disarm();
   bool armedFor(FaultSite Site) const;
-  /// The first still-armed spec (FaultSite::None when nothing is armed).
-  FaultSpec spec() const;
 
-  /// True exactly when this probe is some armed spec's Nth occurrence of
-  /// \p Site; that spec disarms itself on firing (one-shot).
+  /// True exactly when this probe is the armed spec's Nth occurrence of
+  /// \p Site; the spec disarms itself on firing (one-shot).
   bool shouldFire(FaultSite Site);
 
   /// Like shouldFire, but reports *which* kind fired at \p Site (so a
-  /// single probe point — e.g. a shard frame send — can dispatch between
-  /// msg:drop / msg:truncate / msg:delay). FaultKind::None when no armed
-  /// spec fired.
+  /// single probe point — the serve response write — can dispatch between
+  /// serve:drop / serve:truncate / serve:delay). FaultKind::None when the
+  /// armed spec did not fire.
   FaultKind fire(FaultSite Site);
 
   /// Faults fired since the last arm() (0 or 1 under one-shot specs).
@@ -153,14 +125,10 @@ public:
                          storage::ConcreteStorage &Store);
 
 private:
-  struct ArmedSpec {
-    FaultSpec Spec;
-    unsigned Hits = 0;
-  };
-
   mutable std::mutex Mu;
   std::atomic<bool> Armed{false};
-  std::vector<ArmedSpec> Specs;
+  FaultSpec Spec;
+  unsigned Hits = 0;
   unsigned Fired = 0;
 };
 

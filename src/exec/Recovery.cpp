@@ -8,6 +8,7 @@
 #include "jit/JitEngine.h"
 #include "obs/Trace.h"
 #include "storage/StorageMap.h"
+#include "support/StringUtils.h"
 #include "verify/PlanVerifier.h"
 
 #include <sstream>
@@ -19,30 +20,6 @@ using support::ErrorCode;
 using support::Status;
 
 namespace {
-
-std::string jsonEscape(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += ' ';
-      else
-        Out += C;
-    }
-  }
-  return Out;
-}
 
 /// First error line of a diagnostics set, for descent details.
 std::string firstError(const verify::Diagnostics &Diags) {
@@ -68,22 +45,29 @@ std::string RunReport::toString() const {
 }
 
 std::string RunReport::toJson() const {
-  std::ostringstream OS;
-  OS << "{\"completed\":" << (Completed ? "true" : "false")
-     << ",\"recovered\":" << (Recovered ? "true" : "false")
-     << ",\"final_rung\":\"" << jsonEscape(FinalRung) << "\",\"descents\":[";
+  std::string Out = "{\"completed\":";
+  Out += Completed ? "true" : "false";
+  Out += ",\"recovered\":";
+  Out += Recovered ? "true" : "false";
+  Out += ",\"final_rung\":\"";
+  support::appendJsonEscaped(Out, FinalRung);
+  Out += "\",\"descents\":[";
   for (std::size_t I = 0; I < Descents.size(); ++I) {
-    if (I)
-      OS << ",";
-    OS << "{\"rung\":\"" << jsonEscape(Descents[I].Rung) << "\",\"reason\":\""
-       << jsonEscape(Descents[I].Reason) << "\",\"detail\":\""
-       << jsonEscape(Descents[I].Detail) << "\"}";
+    Out += I ? ",{\"rung\":\"" : "{\"rung\":\"";
+    support::appendJsonEscaped(Out, Descents[I].Rung);
+    Out += "\",\"reason\":\"";
+    support::appendJsonEscaped(Out, Descents[I].Reason);
+    Out += "\",\"detail\":\"";
+    support::appendJsonEscaped(Out, Descents[I].Detail);
+    Out += "\"}";
   }
-  OS << "]";
-  if (!Completed)
-    OS << ",\"error\":" << Error.toJson();
-  OS << "}";
-  return OS.str();
+  Out += "]";
+  if (!Completed) {
+    Out += ",\"error\":";
+    Out += Error.toJson();
+  }
+  Out += "}";
+  return Out;
 }
 
 RunReport exec::runWithRecovery(const ExecutionPlan &Plan,

@@ -35,12 +35,6 @@
 ///                           failure, compile error — E017); the run
 ///                           proceeds on the interpreted batched bodies,
 ///                           bit-identical by construction
-///   L009-shard-degraded     a sharded multi-process run lost a peer
-///                           (E018) or an exchange deadline (E019); the
-///                           coordinator restores the pre-step snapshot
-///                           and re-runs the remaining steps in a single
-///                           process, bit-identical to never sharding
-///                           (shard::runSharded, docs/SHARDING.md)
 ///
 /// The ladder never re-runs a rung that failed deterministically, and a
 /// one-shot injected fault is consumed by the rung it kills, so recovery
@@ -78,7 +72,6 @@ inline constexpr const char *ReasonNanGuard = "L005-nan-guard";
 inline constexpr const char *ReasonPlanInvalid = "L006-plan-invalid";
 inline constexpr const char *ReasonMemBudget = "L007-mem-budget";
 inline constexpr const char *ReasonJitUnavailable = "L008-jit-unavailable";
-inline constexpr const char *ReasonShardDegraded = "L009-shard-degraded";
 
 /// What one recovering run did: every rung descent with its reason, the
 /// rung that finally ran (or the error that exhausted the ladder), and the

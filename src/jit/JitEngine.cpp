@@ -8,6 +8,7 @@
 #include "jit/JitEngine.h"
 
 #include "obs/Trace.h"
+#include "support/Hash.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -22,12 +23,13 @@ using namespace lcdfg;
 using namespace lcdfg::jit;
 
 namespace fs = std::filesystem;
+using support::fnvMixU64;
 
 namespace {
 
 /// Bump when the emitted ABI or the key recipe changes: old cache entries
 /// then miss instead of resolving to incompatible objects.
-constexpr const char *AbiTag = "lcdfg-jit-abi-1";
+constexpr std::string_view AbiTag = "lcdfg-jit-abi-1";
 
 /// Flags every compile gets. -ffp-contract=off is load-bearing: fused
 /// multiply-adds would change rounding and break the bit-compare gates
@@ -35,22 +37,6 @@ constexpr const char *AbiTag = "lcdfg-jit-abi-1";
 /// pulling in the OpenMP runtime.
 constexpr const char *BaseFlags =
     "-O3 -fPIC -shared -fopenmp-simd -ffp-contract=off";
-
-std::uint64_t fnv1a(std::string_view S, std::uint64_t H = 0xcbf29ce484222325ull) {
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
-std::uint64_t fnvU64(std::uint64_t H, std::uint64_t V) {
-  for (int I = 0; I < 8; ++I) {
-    H ^= static_cast<unsigned char>(V >> (I * 8));
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
 
 std::string hexKey(std::uint64_t Key) {
   char Buf[32];
@@ -193,12 +179,17 @@ support::Status Engine::probe() {
   // structural hash. MarchFlag is settled below before the first request
   // can observe KeyBase (kernel() probes before keying).
   auto SealKeyBase = [&] {
-    KeyBase = fnv1a(AbiTag);
-    KeyBase = fnv1a(Opts.Compiler, fnv1a("\x1f", KeyBase));
-    KeyBase = fnv1a(Version, fnv1a("\x1f", KeyBase));
-    KeyBase = fnv1a(BaseFlags, fnv1a("\x1f", KeyBase));
-    KeyBase = fnv1a(MarchFlag, fnv1a("\x1f", KeyBase));
-    KeyBase = fnv1a(Opts.ExtraFlags, fnv1a("\x1f", KeyBase));
+    // Fields are 0x1f-separated so adjacent ones cannot run together.
+    auto Fold = [&](std::string_view Field) {
+      KeyBase = support::fnv1a64("\x1f", 1, KeyBase);
+      KeyBase = support::fnv1a64(Field.data(), Field.size(), KeyBase);
+    };
+    KeyBase = support::fnv1a64(AbiTag.data(), AbiTag.size());
+    Fold(Opts.Compiler);
+    Fold(Version);
+    Fold(BaseFlags);
+    Fold(MarchFlag);
+    Fold(Opts.ExtraFlags);
   };
   SealKeyBase();
   if (!Opts.Enabled) {
@@ -243,7 +234,10 @@ support::Status Engine::probe() {
     if (!compileTo(CPath, SoPath + ".march"))
       MarchFlag.clear();
     fs::remove(SoPath + ".march", EC);
+    fs::remove(SoPath + ".march.log", EC);
     SealKeyBase(); // MarchFlag is now final.
+    // A failed probe keeps its log: the E017 message points at it.
+    fs::remove(SoPath + ".log", EC);
   }
   fs::remove(CPath, EC);
   fs::remove(SoPath, EC);
@@ -347,13 +341,13 @@ Engine::kernel(const codegen::KernelExpr &Body,
   // Hashing structure instead of rendered text keeps repeat lookups (one
   // per statement per run) free of string building.
   std::uint64_t Key =
-      fnvU64(KeyBase, static_cast<std::uint64_t>(Sig.WriteStride));
-  Key = fnvU64(Key, Sig.ReadStrides.size());
+      fnvMixU64(KeyBase, static_cast<std::uint64_t>(Sig.WriteStride));
+  Key = fnvMixU64(Key, Sig.ReadStrides.size());
   for (std::size_t J = 0; J < Sig.ReadStrides.size(); ++J) {
-    Key = fnvU64(Key, static_cast<std::uint64_t>(Sig.ReadStrides[J]));
-    Key = fnvU64(Key, J < Sig.ReadAliasesWrite.size() && Sig.ReadAliasesWrite[J]
-                          ? 1
-                          : 0);
+    Key = fnvMixU64(Key, static_cast<std::uint64_t>(Sig.ReadStrides[J]));
+    const bool Aliases =
+        J < Sig.ReadAliasesWrite.size() && Sig.ReadAliasesWrite[J];
+    Key = fnvMixU64(Key, Aliases ? 1 : 0);
   }
   Key = Body.hash(Key);
 
@@ -377,25 +371,25 @@ Engine::rowKernel(const codegen::RowKernelDesc &Desc) {
   // never collide with the plain segment class of the same expression.
   // The tag doubles as the fused-walker emission version: bump it whenever
   // printRowKernel's output or the RowKernel ABI changes.
-  std::uint64_t Key = fnvU64(KeyBase, 0x726f777732ULL); // "roww2"
-  Key = fnvU64(Key, Desc.Stmts.size());
-  Key = fnvU64(Key, static_cast<std::uint64_t>(Desc.MaxSegment));
+  std::uint64_t Key = fnvMixU64(KeyBase, 0x726f777732ULL); // "roww2"
+  Key = fnvMixU64(Key, Desc.Stmts.size());
+  Key = fnvMixU64(Key, static_cast<std::uint64_t>(Desc.MaxSegment));
   auto FoldStream = [&Key](const codegen::RowKernelDesc::Stream &S) {
-    Key = fnvU64(Key, S.Space);
-    Key = fnvU64(Key, S.Modulo ? 1 : 0);
-    Key = fnvU64(Key, static_cast<std::uint64_t>(S.ModSize));
-    Key = fnvU64(Key, static_cast<std::uint64_t>(S.InnerStride));
-    Key = fnvU64(Key, S.Flat);
-    Key = fnvU64(Key, S.AliasesWrite ? 1 : 0);
+    Key = fnvMixU64(Key, S.Space);
+    Key = fnvMixU64(Key, S.Modulo ? 1 : 0);
+    Key = fnvMixU64(Key, static_cast<std::uint64_t>(S.ModSize));
+    Key = fnvMixU64(Key, static_cast<std::uint64_t>(S.InnerStride));
+    Key = fnvMixU64(Key, S.Flat);
+    Key = fnvMixU64(Key, S.AliasesWrite ? 1 : 0);
   };
   for (const codegen::RowKernelDesc::Stmt &St : Desc.Stmts) {
-    Key = fnvU64(Key, static_cast<std::uint64_t>(St.Lo));
-    Key = fnvU64(Key, static_cast<std::uint64_t>(St.Hi));
+    Key = fnvMixU64(Key, static_cast<std::uint64_t>(St.Lo));
+    Key = fnvMixU64(Key, static_cast<std::uint64_t>(St.Hi));
     FoldStream(St.Write);
-    Key = fnvU64(Key, St.Reads.size());
+    Key = fnvMixU64(Key, St.Reads.size());
     for (const codegen::RowKernelDesc::Stream &R : St.Reads)
       FoldStream(R);
-    Key = St.Body ? St.Body->hash(Key) : fnvU64(Key, 0);
+    Key = St.Body ? St.Body->hash(Key) : fnvMixU64(Key, 0);
   }
 
   auto R = fetchLocked(Key, [&Desc](const std::string &Symbol) {

@@ -2,6 +2,8 @@
 
 #include "obs/Trace.h"
 
+#include "support/StringUtils.h"
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -61,16 +63,6 @@ std::string_view obs::counterName(Counter C) {
     return "exec.jit.cache.hits";
   case Counter::JitFallbacks:
     return "exec.jit.fallbacks";
-  case Counter::ShardExchanges:
-    return "rt.shard.exchanges";
-  case Counter::ShardBytes:
-    return "rt.shard.bytes";
-  case Counter::ShardRetries:
-    return "rt.shard.retries";
-  case Counter::ShardTimeouts:
-    return "rt.shard.timeouts";
-  case Counter::ShardPeerLost:
-    return "rt.shard.peer_lost";
   case Counter::ServeRequests:
     return "serve.requests";
   case Counter::ServeCacheHits:
@@ -101,10 +93,6 @@ std::string_view obs::spanKindName(SpanKind K) {
     return "marker";
   case SpanKind::Jit:
     return "jit";
-  case SpanKind::Shard:
-    return "shard";
-  case SpanKind::Exchange:
-    return "exchange";
   }
   return "unknown";
 }
@@ -401,27 +389,6 @@ std::string Trace::summary() const {
 
 namespace {
 
-void jsonEscapeInto(std::string &Out, std::string_view S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += ' ';
-      else
-        Out += C;
-    }
-  }
-}
-
 void appendNum(std::string &Out, double V) {
   char Buf[64];
   std::snprintf(Buf, sizeof(Buf), "%.3f", V);
@@ -459,7 +426,7 @@ std::string Trace::toChromeJson() const {
     if (L.empty())
       Out += spanKindName(S.Kind);
     else
-      jsonEscapeInto(Out, L);
+      support::appendJsonEscaped(Out, L);
     Out += "\",\"cat\":\"";
     Out += spanKindName(S.Kind);
     if (S.Kind == SpanKind::Marker) {

@@ -84,17 +84,6 @@ enum class Counter : unsigned {
                    ///  specialization but ran the interpreted batched body
                    ///  (no expression form, compiler unavailable, or a
                    ///  compile/load failure).
-  ShardExchanges,  ///< rt.shard.exchanges: completed cross-process halo
-                   ///  exchange phases (one per worker per step), as
-                   ///  reported back to the coordinator.
-  ShardBytes,      ///< rt.shard.bytes: halo payload bytes moved over the
-                   ///  shard channels (send side).
-  ShardRetries,    ///< rt.shard.retries: resend requests issued for late,
-                   ///  truncated, or corrupt halo frames.
-  ShardTimeouts,   ///< rt.shard.timeouts: exchange deadlines exceeded
-                   ///  (terminal E019 events, before recovery).
-  ShardPeerLost,   ///< rt.shard.peer_lost: peer processes lost
-                   ///  mid-protocol (terminal E018 events).
   ServeRequests,   ///< serve.requests: request lines the daemon accepted
                    ///  for processing (commands and compile+run alike).
   ServeCacheHits,  ///< serve.cache.hits: compile+run requests served from
@@ -124,12 +113,7 @@ enum class SpanKind : unsigned char {
   Rung,      ///< One degradation-ladder rung attempt (A0 = attempt).
   Run,       ///< One whole runPlan invocation.
   Marker,    ///< Instant event (T1 == T0): descent, fault firing.
-  Jit,       ///< One JIT host-compiler invocation (src/jit).
-  Shard,     ///< One sharded timestep on the coordinator (A0 = step,
-             ///  A1 = shard count).
-  Exchange   ///< One worker's halo exchange phase, re-timed on the
-             ///  coordinator clock from the worker's reported duration
-             ///  (A0 = shard rank, A1 = step).
+  Jit        ///< One JIT host-compiler invocation (src/jit).
 };
 
 /// Printable name of \p K ("task", "wavefront", ...).

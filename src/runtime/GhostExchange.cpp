@@ -30,10 +30,9 @@ inline void splitCoord(int Coord, int N, int &BoxOffset, int &Local) {
   }
 }
 
-} // namespace
-
-Status rt::validateGhostGrid(const std::vector<Box> &Boxes,
-                             const GridLayout &Layout) {
+/// Checks the exchangeGhosts preconditions (see GhostExchange.h).
+Status validateGhostGrid(const std::vector<Box> &Boxes,
+                         const GridLayout &Layout) {
   auto Bad = [](std::string Why) {
     return Status::error(ErrorCode::InvalidChain,
                          "ghost grid: " + std::move(Why))
@@ -70,8 +69,10 @@ Status rt::validateGhostGrid(const std::vector<Box> &Boxes,
   return Status::ok();
 }
 
-void rt::fillGhostsOfBox(std::vector<Box> &Boxes, const GridLayout &Layout,
-                         int Index) {
+/// Fills the ghost cells of the single box at \p Index from the interiors
+/// of its periodic neighbors. Preconditions are not re-validated here.
+void fillGhostsOfBox(std::vector<Box> &Boxes, const GridLayout &Layout,
+                     int Index) {
   const int N = Boxes.front().size();
   const int G = Boxes.front().ghost();
   const int NumComp = Boxes.front().numComponents();
@@ -99,6 +100,8 @@ void rt::fillGhostsOfBox(std::vector<Box> &Boxes, const GridLayout &Layout,
           Dst.at(C, Z, Y, X) = Src.at(C, LZ, LY, LX);
         }
 }
+
+} // namespace
 
 Status rt::exchangeGhosts(std::vector<Box> &Boxes, const GridLayout &Layout,
                           int Threads) {

@@ -42,29 +42,16 @@ struct GridLayout {
   }
 };
 
-/// Checks the exchangeGhosts preconditions: Layout has positive extents,
-/// Boxes.size() equals Layout.numBoxes(), every box shares the first
-/// box's size / ghost depth / component count, and the ghost depth does
-/// not exceed the box interior (a G > N exchange would need next-nearest
-/// neighbors, which the periodic split does not model). Violations return
-/// E002-invalid-chain with a "ghost-grid" subcode.
-support::Status validateGhostGrid(const std::vector<Box> &Boxes,
-                                  const GridLayout &Layout);
-
-/// Fills the ghost cells of the single box at \p Index from the interiors
-/// of its periodic neighbors — the per-box body of exchangeGhosts. Shard
-/// workers call it per owned box once remote halo slabs have been written
-/// into the neighbor boxes (docs/SHARDING.md). Preconditions are NOT
-/// re-validated here; run validateGhostGrid once up front.
-void fillGhostsOfBox(std::vector<Box> &Boxes, const GridLayout &Layout,
-                     int Index);
-
 /// Fills every ghost cell of every box from the interior of the owning
 /// neighbor under periodic boundary conditions. All boxes must share
 /// size, ghost depth, and component count; Boxes.size() must equal
 /// Layout.numBoxes() with boxes stored in Layout::index order. The
-/// preconditions are validated (validateGhostGrid) and violations are
-/// returned as a structured error instead of corrupting memory.
+/// preconditions are validated — positive layout extents, matching box
+/// count, uniform boxes, and a ghost depth no deeper than the interior (a
+/// G > N exchange would need next-nearest neighbors, which the periodic
+/// split does not model) — and violations are returned as
+/// E002-invalid-chain with a "ghost-grid" subcode instead of corrupting
+/// memory.
 support::Status exchangeGhosts(std::vector<Box> &Boxes,
                                const GridLayout &Layout, int Threads = 1);
 

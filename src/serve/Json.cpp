@@ -2,8 +2,9 @@
 
 #include "serve/Json.h"
 
+#include "support/StringUtils.h"
+
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -289,54 +290,35 @@ support::Expected<JsonValue> serve::parseJson(std::string_view Text) {
   return Parser(Text).run();
 }
 
-std::string serve::jsonEscape(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size() + 8);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(C)));
-        Out += Buf;
-      } else {
-        Out.push_back(C);
-      }
-    }
-  }
+namespace {
+
+/// `"Key":` with \p Key escaped.
+std::string jsonKey(std::string_view Key) {
+  std::string Out = "\"";
+  support::appendJsonEscaped(Out, Key);
+  Out += "\":";
   return Out;
 }
 
+} // namespace
+
 std::string serve::jsonField(std::string_view Key, std::string_view Value) {
-  return "\"" + jsonEscape(Key) + "\":\"" + jsonEscape(Value) + "\"";
+  std::string Out = jsonKey(Key) + "\"";
+  support::appendJsonEscaped(Out, Value);
+  Out += "\"";
+  return Out;
 }
 
 std::string serve::jsonField(std::string_view Key, std::int64_t Value) {
-  return "\"" + jsonEscape(Key) + "\":" + std::to_string(Value);
+  return jsonKey(Key) + std::to_string(Value);
 }
 
 std::string serve::jsonField(std::string_view Key, double Value) {
   std::ostringstream OS;
   OS << Value;
-  return "\"" + jsonEscape(Key) + "\":" + OS.str();
+  return jsonKey(Key) + OS.str();
 }
 
 std::string serve::jsonField(std::string_view Key, bool Value) {
-  return "\"" + jsonEscape(Key) + "\":" + (Value ? "true" : "false");
+  return jsonKey(Key) + (Value ? "true" : "false");
 }

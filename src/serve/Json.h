@@ -68,12 +68,8 @@ struct JsonValue {
 /// the message.
 support::Expected<JsonValue> parseJson(std::string_view Text);
 
-/// Escapes \p S for embedding in a JSON string literal (quotes not
-/// included). Control bytes become \u00XX.
-std::string jsonEscape(std::string_view S);
-
 /// Convenience: "key":"escaped-value" fragment builders used by the
-/// response writers.
+/// response writers (escaping through support::appendJsonEscaped).
 std::string jsonField(std::string_view Key, std::string_view Value);
 std::string jsonField(std::string_view Key, std::int64_t Value);
 std::string jsonField(std::string_view Key, double Value);

@@ -7,6 +7,7 @@
 #include "obs/Trace.h"
 #include "parser/PragmaParser.h"
 #include "parser/ScriptRunner.h"
+#include "support/Hash.h"
 #include "verify/PlanVerifier.h"
 
 #include <chrono>
@@ -125,15 +126,6 @@ void CompiledPlan::seedStore(storage::ConcreteStorage &Store) const {
     }
 }
 
-std::uint64_t PlanCache::hashText(std::string_view Text) {
-  std::uint64_t H = 0xcbf29ce484222325ull;
-  for (char C : Text) {
-    H ^= static_cast<unsigned char>(C);
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
 bool PlanCache::Key::operator<(const Key &O) const {
   return std::tie(ChainHash, ScriptHash, Size, Widen, Threads, Scheduler,
                   Harden) < std::tie(O.ChainHash, O.ScriptHash, O.Size,
@@ -143,8 +135,8 @@ bool PlanCache::Key::operator<(const Key &O) const {
 
 PlanCache::Key PlanCache::keyOf(const RequestSpec &Spec) {
   Key K;
-  K.ChainHash = hashText(Spec.Chain);
-  K.ScriptHash = hashText(Spec.Script);
+  K.ChainHash = support::fnv1a64(Spec.Chain.data(), Spec.Chain.size());
+  K.ScriptHash = support::fnv1a64(Spec.Script.data(), Spec.Script.size());
   K.Size = Spec.Size;
   K.Widen = Spec.Widen;
   K.Threads = Spec.Threads;

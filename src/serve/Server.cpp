@@ -5,6 +5,7 @@
 #include "exec/FaultInjector.h"
 #include "exec/Recovery.h"
 #include "obs/Trace.h"
+#include "support/Hash.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -58,26 +59,16 @@ Status sendAll(int Fd, const char *Data, std::size_t Len) {
   return Status::ok();
 }
 
-std::uint64_t fnv1a64(const unsigned char *Data, std::size_t Len,
-                      std::uint64_t H) {
-  for (std::size_t I = 0; I < Len; ++I) {
-    H ^= Data[I];
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
 /// FNV-64 over the persistent spaces of \p Plan in space order — the
 /// warm-vs-cold bit-identity witness.
 std::string resultChecksum(const exec::ExecutionPlan &Plan,
                            const storage::ConcreteStorage &Store) {
-  std::uint64_t H = 0xcbf29ce484222325ull;
+  std::uint64_t H = support::FnvOffsetBasis;
   for (std::size_t S = 0; S < Plan.NumSpaces && S < Store.numSpaces(); ++S) {
     if (S < Plan.SpacePersistent.size() && !Plan.SpacePersistent[S])
       continue;
     const std::vector<double> &Buf = Store.space(S);
-    H = fnv1a64(reinterpret_cast<const unsigned char *>(Buf.data()),
-                Buf.size() * sizeof(double), H);
+    H = support::fnv1a64(Buf.data(), Buf.size() * sizeof(double), H);
   }
   char Hex[19];
   std::snprintf(Hex, sizeof(Hex), "%016llx",

@@ -187,9 +187,10 @@ private:
 };
 
 /// A blocking line-protocol client for tools and tests. Maps transport
-/// failures into the shard vocabulary: EOF/reset -> E018-peer-lost, a
-/// passed deadline -> E019-exchange-timeout, an oversized or unparseable
-/// response -> E020-protocol.
+/// failures onto stable codes: a refused connect, a failed send/recv, or
+/// EOF before any response byte -> E018-peer-lost; a passed response
+/// deadline -> E019-exchange-timeout; an oversized, truncated or
+/// unparseable response -> E020-protocol.
 class Client {
 public:
   Client() = default;

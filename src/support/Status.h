@@ -72,15 +72,13 @@ enum class ErrorCode {
                      ///  (no host compiler, cache dir unwritable, dlopen
                      ///  failure). Always recoverable: the ladder falls
                      ///  back to the interpreted batched path (L008).
-  PeerLost,          ///< E018: a shard peer process died mid-protocol
-                     ///  (EOF/reset on its channel, or the coordinator
-                     ///  reaped the child). Recoverable: the coordinator
-                     ///  restores the pre-step snapshot and re-runs
-                     ///  single-process (L009).
-  ExchangeTimeout,   ///< E019: a ghost exchange missed its deadline
-                     ///  (LCDFG_SHARD_TIMEOUT_MS) after bounded resend
-                     ///  retries, or every retransmit of a frame arrived
-                     ///  truncated/corrupt. Recoverable like E018 (L009).
+  PeerLost,          ///< E018: the serve peer is gone — a connect was
+                     ///  refused, a send or recv failed, or the
+                     ///  connection closed before any byte of the
+                     ///  response line arrived.
+  ExchangeTimeout,   ///< E019: a serve client waited past its deadline
+                     ///  for a response line (subcode "timeout"). Scoped
+                     ///  to the one request; the daemon keeps serving.
   Protocol,          ///< E020: a serve-protocol framing violation — an
                      ///  oversized or unterminated request line, text that
                      ///  is not a JSON object, a field of the wrong type,

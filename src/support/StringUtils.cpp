@@ -58,3 +58,34 @@ bool lcdfg::consumePrefix(std::string_view &S, std::string_view Prefix) {
   S = T.substr(Prefix.size());
   return true;
 }
+
+void support::appendJsonEscaped(std::string &Out, std::string_view S) {
+  static constexpr char Hex[] = "0123456789abcdef";
+  for (char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) >= 0x20) {
+        Out += C;
+      } else {
+        Out += "\\u00";
+        Out += Hex[static_cast<unsigned char>(C) >> 4];
+        Out += Hex[C & 0xf];
+      }
+    }
+  }
+}

@@ -6,7 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Small string helpers used by the omplc pragma parser and pretty printers.
+/// Small string helpers used by the omplc pragma parser, pretty printers
+/// and JSON emitters.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +36,16 @@ bool startsWith(std::string_view S, std::string_view Prefix);
 /// Consumes \p Prefix from the front of \p S (after trimming); returns true
 /// and advances \p S on success.
 bool consumePrefix(std::string_view &S, std::string_view Prefix);
+
+namespace support {
+
+/// Appends \p S to \p Out escaped for the inside of a JSON string literal
+/// (quotes not included): `"` `\` newline, CR and tab get their short
+/// escapes, every other byte below 0x20 becomes \u00XX, and all other
+/// bytes pass through. The one escaper behind every JSON emitter.
+void appendJsonEscaped(std::string &Out, std::string_view S);
+
+} // namespace support
 
 } // namespace lcdfg
 

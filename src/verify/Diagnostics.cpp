@@ -7,6 +7,8 @@
 
 #include "verify/Diagnostics.h"
 
+#include "support/StringUtils.h"
+
 #include <sstream>
 
 using namespace lcdfg;
@@ -33,37 +35,29 @@ void printPoint(std::ostringstream &OS, const std::vector<std::int64_t> &Pt) {
   OS << ")";
 }
 
-/// JSON string escaping for the small character set diagnostics contain.
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      Out += C;
-    }
-  }
-  return Out;
+/// Appends `,"Key":V` for a non-negative index field.
+void jsonIndex(std::string &Out, const char *Key, std::int64_t V) {
+  if (V < 0)
+    return;
+  Out += ",\"";
+  Out += Key;
+  Out += "\":";
+  Out += std::to_string(V);
 }
 
-void jsonPoint(std::ostringstream &OS, const char *Key,
+void jsonPoint(std::string &Out, const char *Key,
                const std::vector<std::int64_t> &Pt) {
-  OS << ",\"" << Key << "\":[";
-  for (std::size_t I = 0; I < Pt.size(); ++I)
-    OS << (I ? "," : "") << Pt[I];
-  OS << "]";
+  if (Pt.empty())
+    return;
+  Out += ",\"";
+  Out += Key;
+  Out += "\":[";
+  for (std::size_t I = 0; I < Pt.size(); ++I) {
+    if (I)
+      Out += ",";
+    Out += std::to_string(Pt[I]);
+  }
+  Out += "]";
 }
 
 } // namespace
@@ -117,33 +111,32 @@ std::string Diagnostics::toString() const {
 }
 
 std::string Diagnostics::toJson() const {
-  std::ostringstream OS;
-  OS << "{\"diagnostics\":[";
+  std::string Out = "{\"diagnostics\":[";
   for (std::size_t I = 0; I < Diags.size(); ++I) {
     const Diagnostic &D = Diags[I];
-    OS << (I ? "," : "") << "{\"severity\":\"" << severityName(D.Sev)
-       << "\",\"check\":\"" << jsonEscape(D.CheckId) << "\",\"message\":\""
-       << jsonEscape(D.Message) << "\"";
-    if (D.Task >= 0)
-      OS << ",\"task\":" << D.Task;
-    if (D.Instr >= 0)
-      OS << ",\"instr\":" << D.Instr;
-    if (D.OtherTask >= 0)
-      OS << ",\"other_task\":" << D.OtherTask;
-    if (D.OtherInstr >= 0)
-      OS << ",\"other_instr\":" << D.OtherInstr;
-    if (D.Space >= 0)
-      OS << ",\"space\":" << D.Space;
-    if (!D.Array.empty())
-      OS << ",\"array\":\"" << jsonEscape(D.Array) << "\"";
-    if (!D.Point.empty())
-      jsonPoint(OS, "point", D.Point);
-    if (!D.OtherPoint.empty())
-      jsonPoint(OS, "other_point", D.OtherPoint);
-    OS << "}";
+    Out += I ? ",{\"severity\":\"" : "{\"severity\":\"";
+    Out += severityName(D.Sev);
+    Out += "\",\"check\":\"";
+    support::appendJsonEscaped(Out, D.CheckId);
+    Out += "\",\"message\":\"";
+    support::appendJsonEscaped(Out, D.Message);
+    Out += "\"";
+    jsonIndex(Out, "task", D.Task);
+    jsonIndex(Out, "instr", D.Instr);
+    jsonIndex(Out, "other_task", D.OtherTask);
+    jsonIndex(Out, "other_instr", D.OtherInstr);
+    jsonIndex(Out, "space", D.Space);
+    if (!D.Array.empty()) {
+      Out += ",\"array\":\"";
+      support::appendJsonEscaped(Out, D.Array);
+      Out += "\"";
+    }
+    jsonPoint(Out, "point", D.Point);
+    jsonPoint(Out, "other_point", D.OtherPoint);
+    Out += "}";
   }
-  OS << "],\"errors\":" << count(Severity::Error)
-     << ",\"warnings\":" << count(Severity::Warning)
-     << ",\"notes\":" << count(Severity::Note) << "}";
-  return OS.str();
+  Out += "],\"errors\":" + std::to_string(count(Severity::Error)) +
+         ",\"warnings\":" + std::to_string(count(Severity::Warning)) +
+         ",\"notes\":" + std::to_string(count(Severity::Note)) + "}";
+  return Out;
 }

@@ -73,6 +73,10 @@ TEST(FaultSpecParse, AcceptsEveryDocumentedPairing) {
 
   EXPECT_EQ(parseOk("modulo:corrupt").Site, FaultSite::Modulo);
   EXPECT_EQ(parseOk("input:truncate").Kind, FaultKind::Truncate);
+  EXPECT_EQ(parseOk("jitval:reject").Site, FaultSite::JitValidate);
+  EXPECT_EQ(parseOk("serve:drop").Kind, FaultKind::Drop);
+  EXPECT_EQ(parseOk("serve:truncate").Site, FaultSite::Serve);
+  EXPECT_EQ(parseOk("serve:delay:2").Nth, 2u);
   // Whitespace around fields is tolerated (env vars get quoted oddly).
   EXPECT_EQ(parseOk(" kernel : throw : 2 ").Nth, 2u);
 }
@@ -87,67 +91,16 @@ TEST(FaultSpecParse, RejectsMalformedSpecsWithE012) {
   expectParseError("modulo:throw", "does not apply");
   expectParseError("kernel:throw:zero", "not a number");
   expectParseError("kernel:throw:0", "must be >= 1");
-}
-
-TEST(FaultSpecParse, AcceptsShardPairings) {
-  FaultSpec S = parseOk("peer:kill:2");
-  EXPECT_EQ(S.Site, FaultSite::Peer);
-  EXPECT_EQ(S.Kind, FaultKind::Kill);
-  EXPECT_EQ(S.Nth, 2u);
-
-  EXPECT_EQ(parseOk("msg:drop").Kind, FaultKind::Drop);
-  EXPECT_EQ(parseOk("msg:truncate").Site, FaultSite::Msg);
-  EXPECT_EQ(parseOk("msg:delay:3").Kind, FaultKind::Delay);
-
-  expectParseError("peer:drop", "does not apply");
-  expectParseError("kernel:kill", "does not apply");
-  expectParseError("msg:kill", "does not apply");
-}
-
-TEST(FaultSpecParse, MultiSpecSplitsOnSemicolons) {
-  auto Specs = FaultInjector::parseSpecs("msg:delay;peer:kill:2");
-  ASSERT_TRUE(static_cast<bool>(Specs)) << Specs.error().toString();
-  ASSERT_EQ(Specs->size(), 2u);
-  EXPECT_EQ((*Specs)[0].Site, FaultSite::Msg);
-  EXPECT_EQ((*Specs)[0].Kind, FaultKind::Delay);
-  EXPECT_EQ((*Specs)[1].Site, FaultSite::Peer);
-  EXPECT_EQ((*Specs)[1].Nth, 2u);
-
-  // Empty segments (trailing or doubled separators) are skipped.
-  auto Single = FaultInjector::parseSpecs("kernel:throw;");
-  ASSERT_TRUE(static_cast<bool>(Single));
-  EXPECT_EQ(Single->size(), 1u);
-
-  // One malformed segment fails the whole parse with its structured error.
-  auto Bad = FaultInjector::parseSpecs("kernel:throw;disk:throw");
-  ASSERT_FALSE(static_cast<bool>(Bad));
-  EXPECT_EQ(Bad.error().code(), support::ErrorCode::FaultInjected);
-  EXPECT_NE(Bad.error().message().find("unknown site"), std::string::npos);
-}
-
-TEST(FaultInjector, MultiSpecCountersAreIndependent) {
-  FaultInjector FI;
-  FI.arm({FaultSpec{FaultSite::Msg, FaultKind::Delay, 1},
-          FaultSpec{FaultSite::Peer, FaultKind::Kill, 2}});
-  EXPECT_TRUE(FI.armedFor(FaultSite::Msg));
-  EXPECT_TRUE(FI.armedFor(FaultSite::Peer));
-
-  // Firing the msg spec leaves the peer spec armed with its own counter.
-  EXPECT_EQ(FI.fire(FaultSite::Msg), FaultKind::Delay);
-  EXPECT_FALSE(FI.armedFor(FaultSite::Msg));
-  EXPECT_TRUE(FI.armedFor(FaultSite::Peer));
-  EXPECT_FALSE(FI.shouldFire(FaultSite::Peer)) << "peer occurrence 1";
-  EXPECT_EQ(FI.fire(FaultSite::Peer), FaultKind::Kill) << "peer occurrence 2";
-  EXPECT_EQ(FI.firedCount(), 2u);
-  EXPECT_EQ(FI.fire(FaultSite::Peer), FaultKind::None) << "one-shot";
+  // One spec per process: a ';' list is not a spec.
+  expectParseError("kernel:throw;task:fail", "unknown kind");
 }
 
 TEST(FaultInjector, FireReportsTheKind) {
   FaultInjector FI;
-  FI.arm(FaultSpec{FaultSite::Msg, FaultKind::Truncate, 1});
-  EXPECT_EQ(FI.fire(FaultSite::Peer), FaultKind::None) << "wrong site";
-  EXPECT_EQ(FI.fire(FaultSite::Msg), FaultKind::Truncate);
-  EXPECT_EQ(FI.fire(FaultSite::Msg), FaultKind::None);
+  FI.arm(FaultSpec{FaultSite::Serve, FaultKind::Truncate, 1});
+  EXPECT_EQ(FI.fire(FaultSite::Kernel), FaultKind::None) << "wrong site";
+  EXPECT_EQ(FI.fire(FaultSite::Serve), FaultKind::Truncate);
+  EXPECT_EQ(FI.fire(FaultSite::Serve), FaultKind::None);
 }
 
 TEST(FaultInjector, FiresOnceAtTheNthOccurrence) {

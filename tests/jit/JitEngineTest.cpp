@@ -36,13 +36,28 @@ namespace fs = std::filesystem;
 namespace {
 
 /// A fresh cache directory per test, rooted under gtest's temp dir so
-/// parallel test binaries never share state.
-std::string freshCacheDir(const std::string &Name) {
-  std::string Dir = ::testing::TempDir() + "lcdfg-jit-test-" + Name + "-" +
-                    std::to_string(::getpid());
-  fs::remove_all(Dir);
-  return Dir;
-}
+/// parallel test binaries never share state, and removed with everything
+/// in it when the guard leaves scope. Declare it before the engines that
+/// use it so they are destroyed first.
+class ScopedCacheDir {
+public:
+  explicit ScopedCacheDir(const std::string &Name)
+      : Dir(::testing::TempDir() + "lcdfg-jit-test-" + Name + "-" +
+            std::to_string(::getpid())) {
+    fs::remove_all(Dir);
+  }
+  ~ScopedCacheDir() {
+    std::error_code EC;
+    fs::remove_all(Dir, EC);
+  }
+  ScopedCacheDir(const ScopedCacheDir &) = delete;
+  ScopedCacheDir &operator=(const ScopedCacheDir &) = delete;
+
+  const std::string &path() const { return Dir; }
+
+private:
+  std::string Dir;
+};
 
 EngineOptions optsFor(const std::string &Dir) {
   EngineOptions O;
@@ -119,7 +134,8 @@ std::string onlyObjectIn(const std::string &Dir) {
 } // namespace
 
 TEST(JitEngine, CompiledKernelIsBitIdenticalToEval) {
-  Engine Eng(optsFor(freshCacheDir("eval")));
+  ScopedCacheDir Tmp("eval");
+  Engine Eng(optsFor(Tmp.path()));
   if (!Eng.available())
     GTEST_SKIP() << "no host compiler: " << Eng.unavailableReason();
 
@@ -135,7 +151,8 @@ TEST(JitEngine, CompiledKernelIsBitIdenticalToEval) {
 TEST(JitEngine, AliasedReadStreamStillExact) {
   // A read stream that aliases the write drops restrict and the simd
   // pragma — the ascending-order contract must still hold bitwise.
-  Engine Eng(optsFor(freshCacheDir("alias")));
+  ScopedCacheDir Tmp("alias");
+  Engine Eng(optsFor(Tmp.path()));
   if (!Eng.available())
     GTEST_SKIP() << "no host compiler: " << Eng.unavailableReason();
 
@@ -181,7 +198,8 @@ TEST(JitEngine, FusedRowWalkerMatchesEvalAndCountsChunks) {
   // over a modulo read window it must chunk at wrap boundaries (and at
   // MaxSegment), produce values bit-identical to the scalar eval order,
   // and report the same segment/wrap tallies the interpreter would.
-  Engine Eng(optsFor(freshCacheDir("row")));
+  ScopedCacheDir Tmp("row");
+  Engine Eng(optsFor(Tmp.path()));
   if (!Eng.available())
     GTEST_SKIP() << "no host compiler: " << Eng.unavailableReason();
 
@@ -251,7 +269,8 @@ TEST(JitEngine, FusedRowWalkerMatchesEvalAndCountsChunks) {
 }
 
 TEST(JitEngine, SecondRequestHitsInMemoryCache) {
-  Engine Eng(optsFor(freshCacheDir("mem")));
+  ScopedCacheDir Tmp("mem");
+  Engine Eng(optsFor(Tmp.path()));
   if (!Eng.available())
     GTEST_SKIP() << "no host compiler: " << Eng.unavailableReason();
 
@@ -267,7 +286,8 @@ TEST(JitEngine, SecondRequestHitsInMemoryCache) {
 }
 
 TEST(JitEngine, DiskCacheServesSecondEngineWithoutCompiling) {
-  const std::string Dir = freshCacheDir("disk");
+  ScopedCacheDir Tmp("disk");
+  const std::string Dir = Tmp.path();
   codegen::KernelExpr E = stencilExpr();
   codegen::SegmentKernelSig Sig = stencilSig();
   {
@@ -287,7 +307,8 @@ TEST(JitEngine, DiskCacheServesSecondEngineWithoutCompiling) {
 }
 
 TEST(JitEngine, FlagChangeInvalidatesCacheKey) {
-  const std::string Dir = freshCacheDir("flags");
+  ScopedCacheDir Tmp("flags");
+  const std::string Dir = Tmp.path();
   codegen::KernelExpr E = stencilExpr();
   codegen::SegmentKernelSig Sig = stencilSig();
   {
@@ -315,8 +336,10 @@ TEST(JitEngine, CorruptCachedObjectIsRebuilt) {
   // engine A produced (the key covers compiler + flags + source, not the
   // directory), because dlopen dedups by path within one process — the
   // path engine B opens must be one this process never loaded.
-  const std::string DirA = freshCacheDir("corrupt-a");
-  const std::string DirB = freshCacheDir("corrupt-b");
+  ScopedCacheDir TmpA("corrupt-a");
+  const std::string DirA = TmpA.path();
+  ScopedCacheDir TmpB("corrupt-b");
+  const std::string DirB = TmpB.path();
   codegen::KernelExpr E = stencilExpr();
   codegen::SegmentKernelSig Sig = stencilSig();
   {
@@ -342,7 +365,8 @@ TEST(JitEngine, CorruptCachedObjectIsRebuilt) {
 }
 
 TEST(JitEngine, DeadCompilerIsUnavailableNotFatal) {
-  EngineOptions O = optsFor(freshCacheDir("dead"));
+  ScopedCacheDir Tmp("dead");
+  EngineOptions O = optsFor(Tmp.path());
   O.Compiler = "/bin/false";
   Engine Eng(std::move(O));
   EXPECT_FALSE(Eng.available());
@@ -355,7 +379,8 @@ TEST(JitEngine, DeadCompilerIsUnavailableNotFatal) {
 }
 
 TEST(JitEngine, DisabledEngineRefusesWithE017) {
-  EngineOptions O = optsFor(freshCacheDir("disabled"));
+  ScopedCacheDir Tmp("disabled");
+  EngineOptions O = optsFor(Tmp.path());
   O.Enabled = false;
   Engine Eng(std::move(O));
   EXPECT_FALSE(Eng.available());
@@ -436,7 +461,8 @@ TEST(JitRecovery, BrokenEngineDescendsL008BitIdentical) {
   Harness S(8);
   std::vector<double> Expected = S.oracle();
 
-  EngineOptions O = optsFor(freshCacheDir("l008"));
+  ScopedCacheDir Tmp("l008");
+  EngineOptions O = optsFor(Tmp.path());
   O.Compiler = "/bin/false";
   Engine Broken(std::move(O));
 
@@ -464,7 +490,8 @@ TEST(JitRecovery, BrokenEngineDescendsL008BitIdentical) {
 
 TEST(JitRecovery, WorkingEngineCompilesAndStaysBitIdentical) {
   Harness S(8);
-  Engine Eng(optsFor(freshCacheDir("e2e")));
+  ScopedCacheDir Tmp("e2e");
+  Engine Eng(optsFor(Tmp.path()));
   if (!Eng.available())
     GTEST_SKIP() << "no host compiler: " << Eng.unavailableReason();
 

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+
 using namespace lcdfg;
 using parser::parseLoopChain;
 
@@ -116,6 +120,14 @@ struct ErrorCase {
   const char *Source;
   const char *ExpectSubstring;
 };
+
+// The printed case becomes the test name; name it by the expected diagnostic
+// (spaces as '_') instead of the struct's run-dependent pointer bytes.
+void PrintTo(const ErrorCase &C, std::ostream *OS) {
+  std::string Name = C.ExpectSubstring;
+  std::replace(Name.begin(), Name.end(), ' ', '_');
+  *OS << Name;
+}
 
 class PragmaParserErrors : public ::testing::TestWithParam<ErrorCase> {};
 

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+
 using namespace lcdfg;
 using poly::AffineExpr;
 
@@ -81,6 +85,15 @@ struct ParseCase {
   const char *Text;
   const char *Expected; // nullptr => parse failure expected
 };
+
+// The printed case becomes the test name, so spell out the input (spaces as
+// '_') rather than letting gtest print the struct's pointer bytes, which
+// differ from run to run.
+void PrintTo(const ParseCase &C, std::ostream *OS) {
+  std::string In = C.Text;
+  std::replace(In.begin(), In.end(), ' ', '_');
+  *OS << "parse(" << In << ")=" << (C.Expected ? C.Expected : "error");
+}
 
 class AffineExprParse : public ::testing::TestWithParam<ParseCase> {};
 

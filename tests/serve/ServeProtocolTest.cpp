@@ -14,6 +14,7 @@
 #include "ServeTestUtil.h"
 #include "serve/Json.h"
 #include "serve/PlanCache.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -56,7 +57,9 @@ TEST(ServeJson, DecodesEscapes) {
 
 TEST(ServeJson, EscapeRoundTrips) {
   std::string Hostile = "quote\" slash\\ nl\n tab\t ctrl\x01 done";
-  auto V = parseJson("{\"k\":\"" + jsonEscape(Hostile) + "\"}");
+  std::string Text = "{\"k\":\"";
+  support::appendJsonEscaped(Text, Hostile);
+  auto V = parseJson(Text + "\"}");
   ASSERT_TRUE(bool(V));
   EXPECT_EQ(V->find("k")->asString(), Hostile);
 }

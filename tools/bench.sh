@@ -22,7 +22,7 @@ BUILD="${BUILD:-build}"
 OUT="${OUT:-.}"
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 2)}"
 BENCHES=(bench_fig6_small bench_fig6_large bench_tiling_shapes
-  bench_shard_scaling bench_serve)
+  bench_serve)
 
 # Stamp the reports' "_meta" block with the commit they measured.
 BENCH_COMMIT="${BENCH_COMMIT:-$(git rev-parse --short HEAD 2>/dev/null || echo unknown)}"

@@ -8,7 +8,7 @@
 # batched-path regressions. Run from the repo root:
 #
 #   tools/ci.sh            # default+tsan+ubsan+bench+verify+faults+jit+
-#                          #   shard+tidy+coverage
+#                          #   serve+tidy+coverage
 #   tools/ci.sh default    # just one preset
 #   tools/ci.sh asan       # the ASan+UBSan sibling
 #   tools/ci.sh ubsan      # standalone UBSan, -fno-sanitize-recover=all
@@ -16,11 +16,6 @@
 #   tools/ci.sh verify     # static legality lint + JIT translation validation
 #   tools/ci.sh faults     # just the fault-injection campaign
 #   tools/ci.sh jit        # JIT backend: tests, cache hygiene, dead compiler
-#   tools/ci.sh shard      # multi-process sharding: suite under ASan, the
-#                          # peer:kill / msg:* fault matrix at 2 and 4
-#                          # shards (each must descend to L009 with
-#                          # bit-identical recovery), clean 1/2/4-shard
-#                          # drills, and the overlap window under TSan
 #   tools/ci.sh serve      # plan-serving daemon: protocol/cache/fault
 #                          # suites + the 5k soak under ASan+UBSan, the
 #                          # connection-multiplexing paths under TSan at
@@ -105,7 +100,7 @@ cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 2)}"
 PRESETS=("$@")
 if [ ${#PRESETS[@]} -eq 0 ]; then
-  PRESETS=(default tsan ubsan bench verify faults jit shard serve tidy
+  PRESETS=(default tsan ubsan bench verify faults jit serve tidy
     coverage)
 fi
 
@@ -402,82 +397,6 @@ jit_stage() {
   echo "jit: validation rejection degraded cleanly [L008-jit-unavailable]"
 }
 
-# One shard fault-matrix row: inject $1 into the --shards=$2 drill with a
-# short exchange deadline and require the L009 descent — the coordinator
-# restores the pre-step snapshot and re-runs serially — to end completed,
-# recovered, and bit-identical to the never-sharded oracle.
-run_shard_fault() {
-  local SPEC="$1" SHARDS="$2" OUT
-  OUT="$(LCDFG_FAULT="${SPEC}" LCDFG_SHARD_TIMEOUT_MS=500 \
-         ./build-asan/tools/lcdfg-opt --report=json --shards="${SHARDS}" \
-         examples/chains/fig1.lc 2>/dev/null)"
-  if ! grep -q '"completed":true' <<<"${OUT}" ||
-     ! grep -q 'L009-shard-degraded' <<<"${OUT}"; then
-    echo "shard fault ${SPEC} x${SHARDS}: no L009 descent: ${OUT}" >&2
-    return 1
-  fi
-  if ! grep -q '"oracle_bit_identical":true' <<<"${OUT}"; then
-    echo "shard fault ${SPEC} x${SHARDS}: degraded result diverged from" \
-         "the serial oracle: ${OUT}" >&2
-    return 1
-  fi
-  echo "shard fault ${SPEC} x${SHARDS}: recovered [L009-shard-degraded]," \
-       "bit-identical"
-}
-
-# Multi-process sharding gate: the dedicated suite under ASan+UBSan (the
-# coordinator and every forked worker run instrumented), clean 1/2/4-shard
-# drills that must stay on their sharded-N rung and match the serial
-# oracle bitwise, the fail-operational matrix (peer kill, frame
-# truncation, frame drop, past-deadline delay, each at 2 and 4 shards),
-# and the interior-compute/gather overlap window under TSan.
-shard_stage() {
-  ./build-asan/tests/test_shard
-  local S OUT
-  for S in 1 2 4; do
-    OUT="$(./build-asan/tools/lcdfg-opt --report=json --shards="${S}" \
-           examples/chains/fig1.lc 2>/dev/null)"
-    if ! grep -q '"completed":true' <<<"${OUT}" ||
-       ! grep -q "\"final_rung\":\"sharded-${S}\"" <<<"${OUT}" ||
-       ! grep -q '"oracle_bit_identical":true' <<<"${OUT}"; then
-      echo "shard clean x${S}: expected sharded-${S} + bit-identity:" \
-           "${OUT}" >&2
-      return 1
-    fi
-    echo "shard clean x${S}: completed [sharded-${S}], bit-identical"
-  done
-  for S in 2 4; do
-    run_shard_fault peer:kill "${S}"
-    run_shard_fault msg:truncate "${S}"
-    run_shard_fault msg:drop "${S}"
-    # LCDFG_SHARD_DELAY_MS defaults to 3x the exchange deadline, so the
-    # delayed frame arrives only after every peer has timed out.
-    run_shard_fault msg:delay "${S}"
-  done
-  # A delay well inside the deadline must be absorbed by the bounded
-  # resend retries without any descent.
-  OUT="$(LCDFG_FAULT=msg:delay LCDFG_SHARD_DELAY_MS=100 \
-         ./build-asan/tools/lcdfg-opt --report=json --shards=2 \
-         examples/chains/fig1.lc 2>/dev/null)"
-  if ! grep -q '"final_rung":"sharded-2"' <<<"${OUT}" ||
-     ! grep -q '"oracle_bit_identical":true' <<<"${OUT}"; then
-    echo "shard short-delay: expected retries to absorb a 100ms delay:" \
-         "${OUT}" >&2
-    return 1
-  fi
-  echo "shard short-delay: absorbed by resend retries, no descent"
-  # The overlap window — interior compute on its own thread while the
-  # gather loop applies remote halo slabs — under the race detector. The
-  # suite's multi-shard tests pin each worker's local pool to 2 threads;
-  # LCDFG_THREADS additionally sizes the in-process rt::parallelFor used
-  # by the single-shard and oracle paths.
-  local T
-  for T in 2 4; do
-    echo "== shard: tsan suite with LCDFG_THREADS=${T} =="
-    LCDFG_THREADS="${T}" ./build-tsan/tests/test_shard
-  done
-}
-
 for PRESET in "${PRESETS[@]}"; do
   echo "== preset: ${PRESET} =="
   if [ "${PRESET}" = verify ]; then
@@ -500,14 +419,6 @@ for PRESET in "${PRESETS[@]}"; do
     cmake --preset asan
     cmake --build --preset asan -j "${JOBS}" --target test_jit
     jit_stage
-    continue
-  fi
-  if [ "${PRESET}" = shard ]; then
-    cmake --preset asan
-    cmake --build --preset asan -j "${JOBS}" --target test_shard lcdfg-opt
-    cmake --preset tsan
-    cmake --build --preset tsan -j "${JOBS}" --target test_shard
-    shard_stage
     continue
   fi
   if [ "${PRESET}" = serve ]; then

@@ -81,22 +81,18 @@
 #include "parser/PragmaParser.h"
 #include "parser/PragmaPrinter.h"
 #include "parser/ScriptRunner.h"
-#include "shard/ShardRunner.h"
 #include "storage/ReuseDistance.h"
 #include "storage/StorageMap.h"
 #include "support/Status.h"
 #include "verify/KernelVerifier.h"
 #include "verify/PlanVerifier.h"
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
 
@@ -130,11 +126,6 @@ int usage(const char *Argv0) {
       "  --trace=FILE        traced execution; write Chrome trace JSON\n"
       "  --metrics           print the trace summary (counters, per-worker\n"
       "                      load); implies a traced run\n"
-      "  --shards=N          (with --report) multi-process sharded\n"
-      "                      timestepper drill: N forked workers exchange\n"
-      "                      ghost slabs with deadlines/retries, verified\n"
-      "                      bit-identical against a serial oracle; honors\n"
-      "                      LCDFG_FAULT peer:kill / msg:* specs (L009)\n"
       "  --size=N            concrete size for --stats/--dump-plan\n"
       "  --threads=K         parallelism for --stats runs\n"
       "  --scheduler=S       list (work-stealing, default) | wavefront\n"
@@ -200,129 +191,6 @@ codegen::KernelExpr sumExpr(std::size_t Arity, bool Pure) {
   return E;
 }
 
-/// --shards=N: the sharded multi-process timestepper drill. The chain
-/// contributes its stencil (ghost depth = widest read offset, one grid
-/// component per nest); the run itself is the Section 5.6 workload — a
-/// periodic box grid stepped 3 times across N worker processes with
-/// fault-tolerant overlapped ghost exchange — followed by an in-process
-/// scalar-serial oracle run whose result must be bit-identical.
-///
-/// Deliberately bypasses the plan/pool machinery: fork needs a
-/// single-threaded parent, so nothing here may start the ThreadPool (the
-/// oracle runs at Threads = 1, which rt::parallelFor executes inline).
-int runShardsMode(const ir::LoopChain &Chain, int Shards, int Threads,
-                  std::int64_t SizeN, bool Json, bool Metrics,
-                  const std::string &OutputPath) {
-  const int N = static_cast<int>(
-      std::min<std::int64_t>(std::max<std::int64_t>(SizeN, 2), 16));
-
-  // The chain's read stencil, padded/truncated to 3D. Ghost depth is the
-  // widest offset in any dimension, clamped to [1, N] (deeper ghosts than
-  // a box interior are rejected by the runtime).
-  std::set<std::array<int, 3>> Points;
-  Points.insert({0, 0, 0});
-  std::int64_t Widest = 1;
-  for (unsigned I = 0; I < Chain.numNests(); ++I)
-    for (const ir::Access &A : Chain.nest(I).Reads)
-      for (const std::vector<std::int64_t> &Off : A.Offsets) {
-        std::array<int, 3> P{0, 0, 0};
-        for (std::size_t D = 0; D < Off.size() && D < 3; ++D) {
-          P[D] = static_cast<int>(Off[D]);
-          Widest = std::max<std::int64_t>(
-              Widest, Off[D] < 0 ? -Off[D] : Off[D]);
-        }
-        Points.insert(P);
-      }
-  const int G = static_cast<int>(std::min<std::int64_t>(Widest, N));
-  const int NumComp =
-      std::max(1, std::min(4, static_cast<int>(Chain.numNests())));
-
-  std::vector<std::array<int, 3>> Stencil;
-  for (std::array<int, 3> P : Points) {
-    for (int &C : P)
-      C = std::max(-G, std::min(G, C));
-    Stencil.push_back(P);
-  }
-  const double Scale = 1.0 / static_cast<double>(Stencil.size());
-  shard::StepFn Fn = [Stencil, Scale](const rt::Box &In, rt::Box &Out) {
-    for (int C = 0; C < In.numComponents(); ++C)
-      for (int Z = 0; Z < In.size(); ++Z)
-        for (int Y = 0; Y < In.size(); ++Y)
-          for (int X = 0; X < In.size(); ++X) {
-            double Acc = 0.0;
-            for (const std::array<int, 3> &P : Stencil)
-              Acc += In.at(C, Z + P[0], Y + P[1], X + P[2]);
-            Out.at(C, Z, Y, X) = Acc * Scale;
-          }
-  };
-
-  // 3 z-rows per rank: every worker has interior rows to overlap with the
-  // in-flight exchange.
-  const rt::GridLayout Layout{3 * Shards, 2, 2};
-  std::vector<rt::Box> Boxes;
-  Boxes.reserve(static_cast<std::size_t>(Layout.numBoxes()));
-  for (int I = 0; I < Layout.numBoxes(); ++I) {
-    Boxes.emplace_back(N, G, NumComp);
-    Boxes.back().fillPseudoRandom(0x10a7ULL +
-                                  static_cast<std::uint64_t>(I) * 733);
-  }
-  std::vector<rt::Box> Oracle = Boxes;
-
-  const int Steps = 3;
-  const support::Status OracleStatus =
-      shard::runSerialReference(Oracle, Layout, Steps, Fn);
-  shard::ShardOptions Opts;
-  Opts.Shards = Shards;
-  Opts.Threads = std::max(1, Threads);
-  // With --metrics the coordinator-side tracer records the Shard/Exchange
-  // spans and folds the workers' rt.shard.* totals in at drain time.
-  obs::Tracer &Tracer = obs::Tracer::global();
-  if (Metrics)
-    Tracer.enable();
-  shard::ShardReport Report =
-      shard::runSharded(Boxes, Layout, Steps, Fn, Opts);
-  std::string Summary;
-  if (Metrics) {
-    obs::Trace T = Tracer.drain();
-    Tracer.disable();
-    Summary = T.summary();
-  }
-
-  bool BitIdentical = Report.Completed && OracleStatus.isOk();
-  for (std::size_t I = 0; BitIdentical && I < Boxes.size(); ++I)
-    for (int C = 0; BitIdentical && C < NumComp; ++C)
-      for (int Z = 0; BitIdentical && Z < N; ++Z)
-        for (int Y = 0; BitIdentical && Y < N; ++Y)
-          for (int X = 0; X < N; ++X)
-            if (Boxes[I].at(C, Z, Y, X) != Oracle[I].at(C, Z, Y, X)) {
-              BitIdentical = false;
-              break;
-            }
-
-  std::string Output;
-  if (Json) {
-    std::string J = Report.toJson();
-    J.insert(J.size() - 1, std::string(",\"oracle_bit_identical\":") +
-                               (BitIdentical ? "true" : "false"));
-    Output = J + "\n";
-  } else {
-    Output = Report.toString() + "  oracle bit-identical: " +
-             (BitIdentical ? "yes" : "no") + "\n";
-  }
-  Output += Summary;
-  if (OutputPath.empty()) {
-    std::fputs(Output.c_str(), stdout);
-  } else {
-    std::ofstream Out(OutputPath);
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot write %s\n", OutputPath.c_str());
-      return 1;
-    }
-    Out << Output;
-  }
-  return (!Report.Completed || !BitIdentical) ? 1 : 0;
-}
-
 bool readFile(const std::string &Path, std::string &Out) {
   std::ifstream In(Path);
   if (!In)
@@ -348,7 +216,6 @@ int runTool(int argc, char **argv) {
   exec::SchedulerKind Scheduler = exec::SchedulerKind::List;
   exec::KernelMode KernelMode = exec::KernelMode::Interp;
   std::int64_t MemBudget = 0;
-  int Shards = 0;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -421,12 +288,6 @@ int runTool(int argc, char **argv) {
         std::fprintf(stderr, "error: --scheduler takes wavefront|list\n");
         return 2;
       }
-    } else if (Arg.rfind("--shards=", 0) == 0) {
-      Shards = std::atoi(Arg.c_str() + 9);
-      if (Shards < 1) {
-        std::fprintf(stderr, "error: --shards must be positive\n");
-        return 2;
-      }
     } else if (Arg.rfind("--mem-budget=", 0) == 0) {
       MemBudget = std::atoll(Arg.c_str() + 13);
       if (MemBudget < 1) {
@@ -492,17 +353,6 @@ int runTool(int argc, char **argv) {
   }
   if (Reduce)
     storage::reduceStorage(G);
-
-  if (Shards > 0) {
-    if (!Report) {
-      std::fprintf(stderr,
-                   "error: --shards needs --report (the drill's outcome is "
-                   "the recovery report)\n");
-      return 2;
-    }
-    return runShardsMode(Chain, Shards, Threads, SizeN, ReportJson, Metrics,
-                         OutputPath);
-  }
 
   bool VerifyFailed = false, ReportFailed = false, TraceFailed = false;
   const bool Trace = Metrics || !TracePath.empty();
